@@ -163,6 +163,13 @@ class StepError:
     origin: object = None
 
 
+def _check_timestamp(timestamp: int) -> None:
+    # Unwritten copies read as timestamp -1, so a negative stamp would
+    # lose the newest-copy vote to them and the write would be lost.
+    if int(timestamp) < 0:
+        raise ValueError(f"timestamp must be >= 0, got {timestamp}")
+
+
 def _max_per_node(nodes: np.ndarray, n: int) -> int:
     if nodes.size == 0:
         return 0
@@ -242,7 +249,9 @@ class AccessProtocol:
         return self._execute(variables, "read", None, timestamp=0)
 
     def write(self, variables, values, *, timestamp: int) -> AccessResult:
-        """Satisfy a set of distinct write requests at the given time."""
+        """Satisfy a set of distinct write requests at the given time
+        (``timestamp >= 0``)."""
+        _check_timestamp(timestamp)
         return self._execute(variables, "write", values, timestamp=timestamp)
 
     def mixed(
@@ -270,6 +279,7 @@ class AccessProtocol:
         the write phase, so concurrent readers of a written variable see
         the old value).
         """
+        _check_timestamp(timestamp)
         return self._execute(
             variables, "mixed", values, timestamp=timestamp, is_write=is_write
         )
@@ -298,7 +308,8 @@ class AccessProtocol:
             ``variables`` and (where applicable) ``values`` /
             ``is_write`` attributes, e.g. ``repro.check.case.StepSpec``.
         start_timestamp : int
-            Timestamp stamped on the first step's writes.
+            Timestamp stamped on the first step's writes; must be
+            ``>= 0``.
         on_error : {"raise", "record"}
             With ``"record"``, a consistency-preserving refusal
             (``RuntimeError``, e.g. unrecoverable variables or an
@@ -321,6 +332,7 @@ class AccessProtocol:
             raise ValueError(
                 f"on_error must be 'raise' or 'record', got {on_error!r}"
             )
+        _check_timestamp(start_timestamp)
         tracer = _obs.current()
         faults = self.faults
         results: list = []

@@ -260,16 +260,15 @@ class _Machine:
 
     def state_digest(self) -> str:
         """Content hash of the full (value, timestamp) memory image."""
-        items = sorted(self.scheme.memory.snapshot().items())
+        items = list(self.scheme.memory.snapshot().items())
         return hashlib.sha256(json.dumps(items).encode()).hexdigest()[:16]
 
     def value_digest(self) -> str:
         """Hash of the newest value per copy id, timestamps excluded —
         stable across interleavings whenever writers touch disjoint
         variables (the fleet workload's cross-run determinism check)."""
-        items = sorted(
-            (cid, val) for cid, (val, _ts) in self.scheme.memory.snapshot().items()
-        )
+        image = self.scheme.memory.snapshot()
+        items = list(zip(image.ids.tolist(), image.vals.tolist()))
         return hashlib.sha256(json.dumps(items).encode()).hexdigest()[:16]
 
 
