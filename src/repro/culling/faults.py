@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.culling.procedure import CullingResult, IterationStats, _mark_with_cap
+from repro.culling.procedure import (
+    CullingResult,
+    IterationStats,
+    _check_request_set,
+    _mark_with_cap,
+    _max_page_load,
+)
 from repro.hmos.copytree import access_mask, extract_min_target_set
 from repro.hmos.scheme import HMOS
 from repro.mesh.costmodel import CostModel
@@ -74,8 +80,7 @@ def cull_with_faults(
     """
     params = scheme.params
     variables = np.asarray(variables, dtype=np.int64)
-    if np.unique(variables).size != variables.size:
-        raise ValueError("request set must contain distinct variables")
+    _check_request_set(params, variables)
     allowed = np.asarray(allowed, dtype=bool)
     n_req = variables.size
     red = params.redundancy
@@ -128,12 +133,6 @@ def cull_with_faults(
         keep = ~feasible
         chosen[keep] = selected[keep]
         selected = chosen
-        sel_keys = keys[selected]
-        max_load = (
-            int(np.unique(sel_keys, return_counts=True)[1].max())
-            if sel_keys.size
-            else 0
-        )
         stats.append(
             IterationStats(
                 level=level,
@@ -141,7 +140,7 @@ def cull_with_faults(
                 marked=int(marked.sum()),
                 augmented_variables=int((added[feasible] > 0).sum()),
                 augmented_copies=int(added[feasible].sum()),
-                max_page_load=max_load,
+                max_page_load=_max_page_load(keys[selected]),
             )
         )
         charged += cost_model.sort_steps(red, params.n) + red

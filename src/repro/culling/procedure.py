@@ -28,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hmos.copytree import extract_min_target_set
+from repro.hmos.params import HMOSParams
 from repro.hmos.scheme import HMOS
 from repro.mesh.costmodel import CostModel
 from repro.mesh.ksort import kk_sort_steps
+from repro.util.grouping import rank_within_groups
 
 __all__ = ["IterationStats", "CullingResult", "cull"]
 
@@ -82,27 +84,45 @@ def _mark_with_cap(keys: np.ndarray, selected: np.ndarray, cap: int) -> np.ndarr
     """Mark at most ``cap`` selected copies per page (per distinct key).
 
     Deterministic: copies are ranked within their page by (variable row,
-    path) order; the first ``cap`` win.  Marking is maximal — a page with
+    path) order -- flat order, which :func:`rank_within_groups` keeps
+    stably; the first ``cap`` win.  Marking is maximal — a page with
     more than ``cap`` selected copies gets exactly ``cap`` marked — which
     the Theorem 3 proof requires.
     """
     marked = np.zeros_like(selected)
-    flat_sel = selected.reshape(-1)
-    sel_idx = np.nonzero(flat_sel)[0]
-    if sel_idx.size == 0:
-        return marked
-    sel_keys = keys.reshape(-1)[sel_idx]
-    order = np.argsort(sel_keys, kind="stable")
-    sorted_keys = sel_keys[order]
-    new_group = np.ones(sorted_keys.size, dtype=bool)
-    new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    group_start = np.maximum.accumulate(
-        np.where(new_group, np.arange(sorted_keys.size), 0)
-    )
-    rank_in_page = np.arange(sorted_keys.size) - group_start
-    win = rank_in_page < cap
-    marked.reshape(-1)[sel_idx[order[win]]] = True
+    sel_idx = np.flatnonzero(selected)
+    win = rank_within_groups(keys.reshape(-1)[sel_idx]) < cap
+    marked.reshape(-1)[sel_idx[win]] = True
     return marked
+
+
+def _max_page_load(sel_keys: np.ndarray) -> int:
+    """Most selected copies on one page: the longest run of equal keys.
+
+    Only occupied pages are counted; bincount would allocate an array as
+    large as the biggest page *key* (m_level * q^(k-level) ids).
+    """
+    if sel_keys.size == 0:
+        return 0
+    keys = np.sort(sel_keys)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return int(np.diff(starts, append=keys.size).max())
+
+
+def _check_request_set(params: HMOSParams, variables: np.ndarray) -> None:
+    """Refuse anything but a PRAM step's request set: a 1-D array of at
+    most n distinct, in-range variable ids."""
+    if variables.ndim != 1:
+        raise ValueError("variables must be a 1-D array")
+    ordered = np.sort(variables)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("request set must contain distinct variables")
+    if ordered.size and (ordered[0] < 0 or ordered[-1] >= params.num_variables):
+        raise ValueError("variable id out of range")
+    if variables.size > params.n:
+        raise ValueError(
+            f"at most one request per processor: {variables.size} > n={params.n}"
+        )
 
 
 def cull(
@@ -136,16 +156,7 @@ def cull(
     """
     params = scheme.params
     variables = np.asarray(variables, dtype=np.int64)
-    if variables.ndim != 1:
-        raise ValueError("variables must be a 1-D array")
-    if np.unique(variables).size != variables.size:
-        raise ValueError("request set must contain distinct variables")
-    if np.any((variables < 0) | (variables >= params.num_variables)):
-        raise ValueError("variable id out of range")
-    if variables.size > params.n:
-        raise ValueError(
-            f"at most one request per processor: {variables.size} > n={params.n}"
-        )
+    _check_request_set(params, variables)
     if accounting not in ("model", "measured"):
         raise ValueError(f"accounting must be 'model' or 'measured', got {accounting!r}")
     if variables.size == 0:
@@ -186,15 +197,6 @@ def cull(
                 "CULLING invariant violated: C^{i-1} lost its target set"
             )
         selected = chosen
-        # Diagnostics: page load after this iteration.  np.unique counts
-        # only the occupied pages; bincount would allocate an array as
-        # large as the biggest page *key* (m_level * q^(k-level) ids).
-        sel_keys = keys[selected.astype(bool)]
-        max_load = (
-            int(np.unique(sel_keys, return_counts=True)[1].max())
-            if sel_keys.size
-            else 0
-        )
         stats.append(
             IterationStats(
                 level=level,
@@ -202,7 +204,7 @@ def cull(
                 marked=int(marked.sum()),
                 augmented_variables=int((added > 0).sum()),
                 augmented_copies=int(added.sum()),
-                max_page_load=max_load,
+                max_page_load=_max_page_load(keys[selected]),
             )
         )
         # Eq. (2): sort+rank the selected copies (q^k per processor) on

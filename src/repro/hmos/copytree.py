@@ -36,9 +36,6 @@ __all__ = [
     "extract_min_target_set",
 ]
 
-_INF = np.int64(1) << 40  # sentinel cost for unreachable subtrees
-
-
 def majority(q: int) -> int:
     """``floor(q/2) + 1`` — children needed for ordinary access."""
     return q // 2 + 1
@@ -148,26 +145,36 @@ def extract_min_target_set(
         raise ValueError("preferred must be a subset of allowed")
     thr = _thresholds(q, k, level)
 
-    # Bottom-up cost pass.  cost[depth] has shape (N, q**depth).
-    cost = np.where(preferred, 0, np.where(allowed, 1, _INF)).astype(np.int64)
-    orders: list[np.ndarray] = []  # per depth: argsort of children costs
+    # Bottom-up cost pass.  cost has shape (N, q**depth).  A subtree
+    # with no target set costs ``inf``, more than any feasible subtree
+    # (at most q**k unmarked leaves).  Child c's stable rank among its
+    # siblings -- its position in a stable sort by cost -- is
+    # #{o < c : cost_o <= cost_c} + #{o > c : cost_o < cost_c}; the
+    # ``thr`` lowest-ranked children are picked.
+    inf = leaves + 1
+    cost = np.where(preferred, 0, np.where(allowed, 1, inf)).astype(np.int32)
+    picks: list[np.ndarray] = []  # per depth: (N, q**depth, q) picked
     for depth in range(k - 1, -1, -1):
-        child = cost.reshape(n, q**depth, q)
-        order = np.argsort(child, axis=-1, kind="stable")
-        orders.append(order)
-        picked = np.take_along_axis(child, order[..., : thr[depth]], axis=-1)
-        total = picked.sum(axis=-1)
-        cost = np.where((picked >= _INF).any(axis=-1), _INF, total)
-    orders.reverse()  # orders[depth] applies at that depth
-    feasible = cost[:, 0] < _INF
+        cols = [cost[:, c::q] for c in range(q)]
+        ranks = [np.zeros(cols[0].shape, dtype=np.int32) for _ in range(q)]
+        for c in range(q):
+            for o in range(c):
+                before = cols[o] <= cols[c]
+                ranks[c] += before
+                ranks[o] += ~before
+        col_picks = [r < thr[depth] for r in ranks]
+        total = sum(np.where(p, col, 0) for p, col in zip(col_picks, cols))
+        cost = np.minimum(total, inf)
+        picks.append(np.stack(col_picks, axis=-1))
+    picks.reverse()  # picks[depth] applies at that depth
+    feasible = cost[:, 0] < inf
 
     # Top-down reconstruction of the chosen children.
     chosen_nodes = feasible[:, None].copy()  # (N, q**0)
     for depth in range(k):
-        order = orders[depth]  # (N, q**depth, q)
-        pick = np.zeros_like(order, dtype=bool)
-        np.put_along_axis(pick, order[..., : thr[depth]], True, axis=-1)
-        chosen_nodes = (pick & chosen_nodes[..., None]).reshape(n, q ** (depth + 1))
+        chosen_nodes = (picks[depth] & chosen_nodes[..., None]).reshape(
+            n, q ** (depth + 1)
+        )
     chosen = chosen_nodes & allowed  # guard: infeasible rows stay empty
     added = (chosen & ~preferred).sum(axis=1)
     return feasible, chosen, added

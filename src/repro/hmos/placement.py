@@ -127,10 +127,18 @@ class Placement:
         """Virtual interval ``[start, stop)`` of each copy's level-``level``
         page (level k = outermost module range; level 0 = the copy itself).
         """
+        return self._refine((level,), variables, paths, chains)[level]
+
+    def _refine(
+        self, levels, variables, paths, chains: np.ndarray | None
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """One level-k -> level-``min(levels)`` refinement pass, keeping
+        the ``[start, stop)`` intervals of every requested level."""
         params = self.params
         k = params.k
-        if not 0 <= level <= k:
-            raise ValueError(f"level must be in [0, {k}]")
+        for level in levels:
+            if not 0 <= level <= k:
+                raise ValueError(f"level must be in [0, {k}]")
         variables = np.asarray(variables, dtype=np.int64).reshape(-1)
         paths = np.asarray(paths, dtype=np.int64).reshape(-1)
         if chains is None:
@@ -140,8 +148,9 @@ class Placement:
         u_k = chains[:, k - 1]
         start = (u_k * nS) // params.m[k]
         stop = ((u_k + 1) * nS) // params.m[k]
+        out = {k: (start, stop)}
         # Refine: j counts the level whose page interval we are inside.
-        for j in range(k, level, -1):
+        for j in range(k, min(levels), -1):
             g = self.graphs[j - 1]  # U_{j-1} -> U_j
             u_j = chains[:, j - 1]
             inner = chains[:, j - 2] if j >= 2 else variables
@@ -157,7 +166,8 @@ class Placement:
             new_start = start + (rank * size) // parts
             stop = start + ((rank + 1) * size) // parts
             start = new_start
-        return start, stop
+            out[j - 1] = (start, stop)
+        return out
 
     def copy_nodes(self, variables, paths, chains: np.ndarray | None = None) -> np.ndarray:
         """Mesh node id storing each copy."""
@@ -166,13 +176,24 @@ class Placement:
         return self.mesh.node_of_rank(ranks)
 
     def page_node_spans(
-        self, level: int, variables, paths, chains: np.ndarray | None = None
+        self, level, variables, paths, chains: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Morton-rank node span ``[first, last]`` of each copy's
-        level-``level`` page (inclusive; possibly a single node)."""
-        start, stop = self.page_intervals(level, variables, paths, chains)
+        level-``level`` page (inclusive; possibly a single node).
+
+        ``level`` may also be a sequence of levels: one refinement pass
+        then serves them all, and ``first``/``last`` have shape
+        ``(len(levels), N)``, row i for ``levels[i]``.
+        """
+        single = np.ndim(level) == 0
+        levels = (int(level),) if single else tuple(int(lv) for lv in level)
+        intervals = self._refine(levels, variables, paths, chains)
+        start = np.stack([intervals[lv][0] for lv in levels])
+        stop = np.stack([intervals[lv][1] for lv in levels])
         first = start // SCALE
         last = np.maximum(first, (stop - 1) // SCALE)
+        if single:
+            return first[0], last[0]
         return first, last
 
     # -- identifiers ----------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 from repro.bibd.subgraph import BalancedSubgraph
 from repro.hmos.copytree import extract_min_target_set
 from repro.mpc.machine import AccessBatchCost, MPCMachine
+from repro.util.grouping import rank_within_groups
 from repro.util.validate import check_positive
 
 __all__ = ["PP93aScheme", "PP93aAccessResult"]
@@ -84,21 +85,9 @@ class PP93aScheme:
         N = variables.size
         modules = self.copy_modules(variables)  # (N, q)
         cap = max(1, math.ceil(2 * self.q * N / math.sqrt(max(N * self.num_modules, 1))))
-        # Mark up to `cap` copies per module, in deterministic order.
-        order = np.lexsort(
-            (np.tile(np.arange(self.q), N), np.repeat(np.arange(N), self.q),
-             modules.reshape(-1))
-        )
-        flat_modules = modules.reshape(-1)[order]
-        new_group = np.ones(flat_modules.size, dtype=bool)
-        new_group[1:] = flat_modules[1:] != flat_modules[:-1]
-        run_start = np.maximum.accumulate(
-            np.where(new_group, np.arange(flat_modules.size), 0)
-        )
-        rank = np.arange(flat_modules.size) - run_start
-        marked_flat = np.zeros(N * self.q, dtype=bool)
-        marked_flat[order[rank < cap]] = True
-        marked = marked_flat.reshape(N, self.q)
+        # Mark up to `cap` copies per module, in deterministic
+        # (variable, copy) order.
+        marked = (rank_within_groups(modules.reshape(-1)) < cap).reshape(N, self.q)
         allowed = np.ones((N, self.q), dtype=bool)
         feasible, chosen, _ = extract_min_target_set(
             marked, allowed, self.q, k=1, level=1

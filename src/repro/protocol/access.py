@@ -475,7 +475,16 @@ class AccessProtocol:
             chains = culling_res.chains[rows, pkt_paths]
         else:
             chains = scheme.placement.chains(pkt_vars, pkt_paths)
-        copy_nodes = scheme.placement.copy_nodes(pkt_vars, pkt_paths, chains)
+        k = params.k
+        n = params.n
+        # One refinement pass yields every level's node span: level 0 is
+        # each copy's node, level i >= 1 its level-i page.
+        first, last = scheme.placement.page_node_spans(
+            range(k + 1), pkt_vars, pkt_paths, chains
+        )
+        span_len = last - first + 1
+        max_span = span_len.max(axis=1) if rows.size else np.ones(k + 1, np.int64)
+        copy_nodes = scheme.mesh.node_of_rank(first[0])
 
         # Origins: requester j sits at mesh node j (any fixed bijection
         # between PRAM processors and mesh nodes works); under processor
@@ -485,28 +494,22 @@ class AccessProtocol:
         else:
             origins = rows.astype(np.int64)
 
-        k = params.k
-        n = params.n
         positions = [origins]
         stage_info: list[tuple[int, int, int, int, float]] = []
         cur = origins
         for stage in range(k + 1, 0, -1):
             if stage == 1:
                 targets = copy_nodes
-                t_nodes = self._max_span(1, pkt_vars, pkt_paths, chains)
+                t_nodes = int(max_span[1])
                 sort_charge = 0.0  # stage 1 is pure (delta_1, delta_0)-routing
             else:
                 level = stage - 1
                 keys = scheme.placement.page_keys(level, pkt_vars, pkt_paths, chains)
-                first, last = scheme.placement.page_node_spans(
-                    level, pkt_vars, pkt_paths, chains
-                )
                 rank = rank_within_groups(keys)
-                span_len = last - first + 1
-                targets = scheme.mesh.node_of_rank(first + rank % span_len)
-                t_nodes = (
-                    n if stage == k + 1 else self._max_span(stage, pkt_vars, pkt_paths, chains)
+                targets = scheme.mesh.node_of_rank(
+                    first[level] + rank % span_len[level]
                 )
+                t_nodes = n if stage == k + 1 else int(max_span[stage])
                 sort_charge = self._sort_charge(
                     _max_per_node(cur, n), t_nodes
                 )
@@ -624,12 +627,6 @@ class AccessProtocol:
             rollup=True,
             op=op,
         )
-
-    def _max_span(self, level: int, pkt_vars, pkt_paths, chains) -> int:
-        first, last = self.scheme.placement.page_node_spans(
-            level, pkt_vars, pkt_paths, chains
-        )
-        return int((last - first + 1).max()) if first.size else 1
 
     def _sort_charge(self, delta: int, t_nodes: int) -> float:
         """Charge for sort-and-rank within submeshes of ``t_nodes`` nodes."""

@@ -118,6 +118,26 @@ class TestFaultyProtocol:
         res = proto.read(v)
         np.testing.assert_array_equal(res.values, 2)
 
+    @pytest.mark.parametrize(
+        "variables, message",
+        [
+            (np.arange(70), "at most one request per processor"),
+            (np.array([3, 9, 3]), "distinct"),
+            (np.array([-1, 2]), "out of range"),
+            (np.arange(4).reshape(2, 2), "1-D"),
+        ],
+    )
+    def test_request_set_checked_with_failed_node(self, variables, message):
+        """The fault path refuses the same request sets as the fault-free
+        path (it used to accept 70 reads on n=64)."""
+        small = HMOS(n=64, alpha=1.5)
+        with pytest.raises(ValueError, match=message):
+            AccessProtocol(small, engine="model").read(variables)
+        inj = FaultInjector(small)
+        inj.fail_nodes([5])
+        with pytest.raises(ValueError, match=message):
+            AccessProtocol(small, engine="model", faults=inj).read(variables)
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_random_failure_property(self, seed):
