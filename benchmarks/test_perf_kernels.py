@@ -20,8 +20,8 @@ both curves.  Methodology:
 
 When numba is not installed the JSON is still written — with the
 instance metadata and a ``note`` explaining the skip — and the test
-skips, mirroring BENCH_shard's low-core-count convention: an absent
-accelerator is an environment fact, never a regression signal.
+skips: an absent accelerator is an environment fact, never a
+regression signal.
 
 ``REPRO_PERF_QUICK=1`` shrinks the mesh and lowers the target for the
 CI smoke job.  Full mode: ``pytest benchmarks/test_perf_kernels.py -q -s``.

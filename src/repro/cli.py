@@ -52,14 +52,6 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _add_shards_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="submesh shards for the cycle engine's stepping loop "
-        "(default: $REPRO_SHARDS or 1; results are bit-identical)",
-    )
-
-
 def _add_kernels_arg(parser: argparse.ArgumentParser) -> None:
     from repro.mesh import BACKEND_CHOICES
 
@@ -116,8 +108,7 @@ def _cmd_step(args) -> int:
     scheme = HMOS(n=args.n, alpha=args.alpha, q=args.q, k=args.k)
     faults = _build_injector(scheme, args)
     proto = AccessProtocol(
-        scheme, engine=args.engine, shards=args.shards,
-        kernels=args.kernels, faults=faults,
+        scheme, engine=args.engine, kernels=args.kernels, faults=faults,
     )
     if args.workload == "adversarial":
         variables = module_collision_requests(scheme, args.n)
@@ -213,8 +204,7 @@ def _cmd_run(args) -> int:
     faults = _build_injector(scheme, args)
     machine = PRAMMachine(
         MeshBackend(
-            scheme, engine=args.engine, shards=args.shards,
-            kernels=args.kernels, faults=faults,
+            scheme, engine=args.engine, kernels=args.kernels, faults=faults,
         ),
         args.n,
     )
@@ -315,8 +305,7 @@ def _cmd_trace(args) -> int:
         scheme = HMOS(n=args.n, alpha=args.alpha, q=args.q, k=args.k)
         faults = _build_injector(scheme, args)
         proto = AccessProtocol(
-            scheme, engine=args.engine, shards=args.shards,
-            kernels=args.kernels, faults=faults,
+            scheme, engine=args.engine, kernels=args.kernels, faults=faults,
         )
         steps = _trace_workload(scheme, args)
         with obs.capture() as tracer:
@@ -668,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("step", help="simulate one PRAM memory step")
     _add_scheme_args(p)
-    _add_shards_arg(p)
     _add_kernels_arg(p)
     _add_fault_args(p)
     p.add_argument("--engine", choices=["cycle", "model"], default="cycle")
@@ -743,7 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="record one run_steps workload to a trace file"
     )
     _add_scheme_args(pt)
-    _add_shards_arg(pt)
     _add_kernels_arg(pt)
     _add_fault_args(pt)
     pt.add_argument("--engine", choices=["cycle", "model"], default="cycle")
@@ -854,7 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a PRAM assembly program on the mesh")
     p.add_argument("file", help="assembly file, or - for stdin")
     _add_scheme_args(p)
-    _add_shards_arg(p)
     _add_kernels_arg(p)
     _add_fault_args(p)
     p.add_argument("--engine", choices=["cycle", "model"], default="model")

@@ -24,7 +24,6 @@ from repro.mesh.costmodel import CostModel
 from repro.mesh.deterministic import ThreePhaseResult, route_three_phase
 from repro.mesh.engine import RouteResult, SynchronousEngine
 from repro.mesh.engine_core import CoreResult, SteppingCore, reference_route
-from repro.mesh.engine_shard import ShardedSteppingCore, resolve_shards
 from repro.mesh.hilbert import hilbert_decode, hilbert_encode
 from repro.mesh.kernels import (
     BACKEND_CHOICES,
@@ -66,9 +65,7 @@ __all__ = [
     "SynchronousEngine",
     "CoreResult",
     "SteppingCore",
-    "ShardedSteppingCore",
     "reference_route",
-    "resolve_shards",
     "Tessellation",
     "hilbert_decode",
     "kk_sort",

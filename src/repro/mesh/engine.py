@@ -87,17 +87,7 @@ class _OccupancyHistogram:
         self.bins = np.zeros(0, dtype=np.int64)
 
     def __call__(self, occ: np.ndarray) -> None:
-        self.add_bins(np.bincount(occ))
-
-    def add_bins(self, bincounts: np.ndarray) -> None:
-        """Merge pre-binned counts (the sharded core's aggregation hook).
-
-        Shard-local occupancy histograms sum exactly to the single-shard
-        histogram — bins partition by node — so the process-pool driver
-        accumulates bins per shard and merges once per run instead of
-        shipping per-step occupancy vectors back to the parent.
-        """
-        bincounts = np.asarray(bincounts, dtype=np.int64)
+        bincounts = np.bincount(occ)
         if bincounts.size > self.bins.size:
             grown = np.zeros(bincounts.size, dtype=np.int64)
             grown[: self.bins.size] = self.bins
@@ -117,14 +107,6 @@ class SynchronousEngine:
         4 packets simultaneously.  ``"single"``: a node sends at most
         one packet per step regardless of link — the weaker model some
         PRAM-simulation papers assume; routing gets up to 4x slower.
-    shards : int
-        Partition the stepping loop into this many row-block submesh
-        shards (rounded to a power of two ``<= side``).  ``1`` (default)
-        keeps the single-process :class:`SteppingCore`; larger values
-        install a bit-identical
-        :class:`~repro.mesh.engine_shard.ShardedSteppingCore`, which
-        fans the shards out over a persistent shared-memory worker pool
-        on multi-core machines.
     kernels : str or None
         Kernel backend request — ``"auto"`` (default via
         ``$REPRO_KERNELS``), ``"numpy"``, or ``"numba"`` (see
@@ -132,8 +114,7 @@ class SynchronousEngine:
         is exposed as :attr:`kernels`; every backend is bit-identical.
 
     The engine owns one stepping core and reuses its preallocated
-    buffers (and, when sharded, its worker pool and shared-memory
-    slabs) across calls, so repeated routing (protocol stages,
+    buffers across calls, so repeated routing (protocol stages,
     benchmark sweeps) pays no per-call allocation for the hot-loop
     state.
     """
@@ -143,39 +124,13 @@ class SynchronousEngine:
         mesh: Mesh,
         *,
         ports: str = "multi",
-        shards: int = 1,
         kernels: str | None = None,
     ):
-        if ports not in ("multi", "single"):
-            raise ValueError(f"ports must be 'multi' or 'single', got {ports!r}")
+        self._core = SteppingCore(mesh, ports, kernels=kernels)
         self.mesh = mesh
         self.ports = ports
-        from repro.mesh.engine_shard import resolve_shards
-        from repro.mesh.kernels import resolve_backend
-
-        self._backend = resolve_backend(kernels)
         #: Resolved kernel backend name ("numpy", "numba", or "python").
-        self.kernels = self._backend.name
-        self.shards = resolve_shards(shards, mesh.side)
-        if self.shards > 1:
-            from repro.mesh.engine_shard import ShardedSteppingCore
-
-            self._core = ShardedSteppingCore(
-                mesh, ports, shards=self.shards, kernels=self._backend
-            )
-        else:
-            self._core = SteppingCore(mesh, ports, kernels=self._backend)
-
-    def close(self) -> None:
-        """Release sharded-core resources (worker pool, shared memory).
-
-        A no-op for the single-shard core; safe to call repeatedly.
-        Unclosed engines are still cleaned up by GC finalizers, but
-        long-lived callers (benchmark sweeps) should close explicitly.
-        """
-        close = getattr(self._core, "close", None)
-        if close is not None:
-            close()
+        self.kernels = self._core.kernels.name
 
     def route(self, batch: PacketBatch, *, max_steps: int | None = None) -> RouteResult:
         """Deliver every packet; return the measured :class:`RouteResult`.
@@ -248,26 +203,4 @@ class SynchronousEngine:
         tracer.count("engine.total_hops", sum(r.total_hops for r in out))
         if hist.bins.size:
             tracer.histogram("engine.queue_occupancy", hist.bins)
-        self._trace_shards(tracer)
         return out
-
-    def _trace_shards(self, tracer) -> None:
-        """Per-shard lane spans + halo-traffic counters (sharded core only)."""
-        stats = getattr(self._core, "last_shard_stats", None)
-        if not stats:
-            return
-        halo_total = 0
-        for s in stats:
-            exchanged = int(s["halo_up"]) + int(s["halo_down"])
-            halo_total += exchanged
-            tracer.lane_span(
-                f"shard[{s['shard']}]",
-                "engine.shard_rounds",
-                float(s["steps"]),
-                rows=list(s["rows"]),
-                packets=s["packets"],
-                halo_up=s["halo_up"],
-                halo_down=s["halo_down"],
-            )
-        tracer.count("engine.halo_packets", halo_total)
-        tracer.count("engine.shard_runs")

@@ -163,6 +163,8 @@ class SteppingCore:
             Independent routing problems.  Batches do not interact: each
             gets its own slab of the link-bucket space, so the measured
             ``steps`` of batch ``b`` is identical to running it alone.
+            Every endpoint must be a node id in ``[0, mesh.n)``; a batch
+            with one outside raises ``ValueError``.
         max_steps : int, sequence of int, or None
             Per-batch livelock guard (seed formula when None).
         observer : callable, optional
@@ -219,6 +221,14 @@ class SteppingCore:
         for b, (src, dst) in enumerate(batches):
             src = np.asarray(src, dtype=np.int64)
             dst = np.asarray(dst, dtype=np.int64)
+            if src.size:
+                lo = min(int(src.min()), int(dst.min()))
+                hi = max(int(src.max()), int(dst.max()))
+                if lo < 0 or hi >= n:
+                    raise ValueError(
+                        f"batch {b}: packet endpoints span [{lo}, {hi}], "
+                        f"outside the mesh's nodes [0, {n})"
+                    )
             sr, sc = src // side, src % side
             dr, dc = dst // side, dst % side
             rc = np.abs(dc - sc)

@@ -1,12 +1,11 @@
 """Compiled hot-loop kernel backends behind one dispatch seam.
 
-The stepping cores, the sharded core, and the curve rank tables all run
-their hot loops through a :class:`KernelBackend` resolved here:
+The stepping core and the curve rank tables run their hot loops
+through a :class:`KernelBackend` resolved here:
 
 * ``"numpy"`` — the always-available vectorized reference path (the
-  code that already lives in ``engine_core`` / ``engine_shard`` /
-  ``topology``; ``ops`` is ``None`` and the callers keep their NumPy
-  loops).
+  code that already lives in ``engine_core`` / ``topology``; ``ops`` is
+  ``None`` and the callers keep their NumPy loops).
 * ``"numba"`` — the kernels of :mod:`repro.mesh.kernels.loops` wrapped
   with ``@numba.njit(cache=True)``.  numba is imported lazily, only
   when this backend is actually selected, so its absence costs nothing.
@@ -96,7 +95,7 @@ def _numba_ops() -> SimpleNamespace:
     """The ``@njit(cache=True)``-wrapped kernels, compiled lazily once.
 
     ``cache=True`` persists the compiled machine code next to
-    ``loops.py``, so warm processes (shard workers, repeated CLI runs)
+    ``loops.py``, so warm processes (pool workers, repeated CLI runs)
     skip recompilation.
     """
     global _numba_ops_cache

@@ -10,10 +10,9 @@ used by the bit-identity test suite when numba is absent).
 
 The contract of every kernel is *bit-identity* with the vectorized
 NumPy code it replaces (see the corresponding lines in
-``engine_core.SteppingCore.run`` / ``engine_shard._ShardState.advance``
-/ ``topology.Mesh._tables``): same winners, same traffic, same
-occupancy, same delivery steps — certified by
-``tests/property/test_kernels.py`` and the differential oracle.
+``engine_core.SteppingCore.run`` / ``topology.Mesh._tables``): same
+winners, same traffic, same occupancy, same delivery steps — certified
+by ``tests/property/test_kernels.py`` and the differential oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "hilbert_table",
     "morton_table",
     "occupancy_maxq",
-    "shard_advance",
 ]
 
 #: Names wrapped by the numba backend (keep in sync with the functions).
@@ -34,7 +32,6 @@ KERNELS = (
     "hilbert_table",
     "morton_table",
     "occupancy_maxq",
-    "shard_advance",
 )
 
 
@@ -135,72 +132,6 @@ def compact(
             osdel[k] = sdel[i]
             k += 1
     return k
-
-
-def shard_advance(
-    state, m, nb, n, ln, base, P, multi, best, link,
-    traffic, out_up, out_down, db,
-):
-    """One fused shard step: arbitration + advance + halo routing +
-    in-place compaction over one shard's resident packets.
-
-    Mirrors ``_ShardState.advance`` exactly: winners that stayed
-    on-shard are accounted (traffic, per-batch deliveries in ``db``);
-    winners that crossed a boundary are copied — post-hop state, in
-    original index order — into the ``(8, nb * side)`` outboxes; the
-    survivors compact stably in place.  Returns
-    ``(n_up, n_down, new_resident_count)``.
-    """
-    for b in range(nb):
-        db[b] = 0
-    for i in range(m):
-        gi = state[0, i]
-        b = gi // n
-        mc = 1 if state[2, i] > 0 else 0
-        d = state[4, i] + state[5, i] * mc
-        loc = b * ln + (gi - b * n - base)
-        if multi:
-            li = loc * 4 + d
-        else:
-            li = loc
-        link[i] = li
-        v = state[1, i] * P + state[3, i]
-        if v > best[li]:
-            best[li] = v
-    n_up = 0
-    n_down = 0
-    k = 0
-    for i in range(m):
-        v = state[1, i] * P + state[3, i]
-        if best[link[i]] == v:
-            mc = 1 if state[2, i] > 0 else 0
-            state[0, i] += state[6, i] + state[7, i] * mc
-            state[1, i] -= 1
-            state[2, i] -= mc
-            gi = state[0, i]
-            b = gi // n
-            node = gi - b * n
-            if node < base:
-                for j in range(8):
-                    out_up[j, n_up] = state[j, i]
-                n_up += 1
-                continue
-            if node >= base + ln:
-                for j in range(8):
-                    out_down[j, n_down] = state[j, i]
-                n_down += 1
-                continue
-            traffic[b * ln + (node - base)] += 1
-            if state[1, i] == 0:
-                db[b] += 1
-                continue
-        if k != i:
-            for j in range(8):
-                state[j, k] = state[j, i]
-        k += 1
-    for i in range(m):
-        best[link[i]] = -1
-    return n_up, n_down, k
 
 
 def morton_table(bits, side, table):

@@ -26,7 +26,6 @@ Two execution engines:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,11 +200,6 @@ class AccessProtocol:
         recomputing ``placement.chains`` for the selected copies.
         Disable only to benchmark the legacy per-step recomputation
         (selections and metrics are identical either way).
-    shards : int, optional
-        Submesh shard count for the cycle engine's stepping loop
-        (bit-identical results; shards only change wall-clock).
-        ``None`` reads ``$REPRO_SHARDS`` (default 1).  Ignored by the
-        model engine, which routes nothing.
     kernels : str, optional
         Kernel backend for the cycle engine's stepping loops
         (bit-identical results; kernels only change wall-clock).
@@ -221,24 +215,23 @@ class AccessProtocol:
         cost_model: CostModel | None = None,
         faults: FaultInjector | None = None,
         reuse: bool = True,
-        shards: int | None = None,
         kernels: str | None = None,
     ):
         if engine not in ("cycle", "model"):
             raise ValueError(f"engine must be 'cycle' or 'model', got {engine!r}")
-        if shards is None:
-            shards = int(os.environ.get("REPRO_SHARDS", "1") or "1")
         self.scheme = scheme
         self.engine = engine
         self.cost_model = cost_model or CostModel()
         self.faults = faults
         self.reuse = reuse
         self._sync = (
-            SynchronousEngine(scheme.mesh, shards=shards, kernels=kernels)
+            SynchronousEngine(scheme.mesh, kernels=kernels)
             if engine == "cycle"
             else None
         )
-        self.shards = self._sync.shards if self._sync is not None else 1
+        #: Always 1: the stepping loop runs in one process.  Kept for
+        #: callers that stamp it into their run records.
+        self.shards = 1
         #: Resolved kernel backend name ("n/a" for the model engine).
         self.kernels = self._sync.kernels if self._sync is not None else "n/a"
 

@@ -5,9 +5,8 @@ backend, which executes exactly the loops numba compiles) must be
 indistinguishable from the NumPy reference cores on every observable:
 
 * **CoreResult identity** — steps, hops, max-queue, and per-node
-  traffic match the NumPy core for any batch mix, port model, and
-  shard count (the ``{numpy, kernel} x {1, 2, 4 shards} x ports``
-  matrix of the certification).
+  traffic match the NumPy core for any batch mix and port model (the
+  ``{numpy, kernel} x ports`` matrix of the certification).
 * **Winner identity** — the fused arbitrate-advance kernel elects the
   same per-link winners as the ``np.maximum.at`` scatter, checked
   per step through the occupancy stream (identical winners => identical
@@ -23,10 +22,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mesh import Mesh, ShardedSteppingCore, SteppingCore
+from repro.mesh import Mesh, SteppingCore
 
 ports_st = st.sampled_from(["multi", "single"])
-shards_st = st.sampled_from([1, 2, 4])
 
 
 @st.composite
@@ -51,20 +49,12 @@ def kernel_cases(draw):
     return mesh, batches
 
 
-def _core(mesh, ports, shards, kernels):
-    if shards == 1:
-        return SteppingCore(mesh, ports, kernels=kernels)
-    return ShardedSteppingCore(
-        mesh, ports, shards=shards, processes=False, kernels=kernels
-    )
-
-
 class TestKernelBitIdentity:
-    @given(kernel_cases(), ports_st, shards_st)
-    def test_results_identical(self, case, ports, shards):
+    @given(kernel_cases(), ports_st)
+    def test_results_identical(self, case, ports):
         mesh, batches = case
         ref = SteppingCore(mesh, ports, kernels="numpy").run(batches)
-        got = _core(mesh, ports, shards, "python").run(batches)
+        got = SteppingCore(mesh, ports, kernels="python").run(batches)
         for r, g in zip(ref, got):
             assert r.steps == g.steps
             assert r.total_hops == g.total_hops

@@ -11,8 +11,8 @@ things, each pinned here:
 * **Bit-identity** — the kernel loops (run as the dependency-free
   ``python`` backend, which executes exactly the algorithm numba
   compiles) reproduce the NumPy cores' outputs and the seed engine's
-  golden reference, on the single-shard core, the sharded cores, the
-  curve tables, and through the full differential oracle.
+  golden reference, on the stepping core, the curve tables, and through
+  the full differential oracle.
 * **Buffer lifecycle** (the ``_ensure_capacity`` fix) — growth releases
   the outgrown state before allocating the new one, same-size runs
   reuse buffers, and results stay correct across growth.
@@ -27,10 +27,8 @@ from repro.check.case import CaseSpec, StepSpec
 from repro.check.oracle import run_case
 from repro.hmos import HMOS
 from repro.mesh import (
-    KernelBackend,
     KernelBackendError,
     Mesh,
-    ShardedSteppingCore,
     SteppingCore,
     SynchronousEngine,
     numba_version,
@@ -127,14 +125,6 @@ class TestDispatch:
         bare.record(proto.read(np.arange(8)))
         assert "kernel backend" not in bare.summary()
 
-    def test_sharded_core_accepts_resolved_backend_object(self):
-        backend = resolve_backend("python")
-        core = ShardedSteppingCore(
-            Mesh(4), shards=2, processes=False, kernels=backend
-        )
-        assert isinstance(core.kernels, KernelBackend)
-        assert core.kernels.name == "python"
-
 
 class TestGoldenParity:
     """Kernel cores vs the seed engine's per-step golden reference."""
@@ -155,21 +145,6 @@ class TestGoldenParity:
             assert res.steps == ref_steps
             assert res.total_hops == ref_hops
             np.testing.assert_array_equal(res.node_traffic, ref_traffic)
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_sharded_kernel_core_matches_reference(self, shards):
-        mesh = Mesh(8)
-        rng = np.random.default_rng(shards)
-        src = rng.integers(0, mesh.n, 150)
-        dst = rng.integers(0, mesh.n, 150)
-        ref_steps, ref_hops, ref_traffic = reference_route(mesh, src, dst)
-        core = ShardedSteppingCore(
-            mesh, shards=shards, processes=False, kernels="python"
-        )
-        (res,) = core.run([(src, dst)])
-        assert res.steps == ref_steps
-        assert res.total_hops == ref_hops
-        np.testing.assert_array_equal(res.node_traffic, ref_traffic)
 
 
 class TestKernelNumPyIdentity:
@@ -228,19 +203,6 @@ class TestKernelNumPyIdentity:
         assert len(seen["numpy"]) == len(seen["python"])
         for a, b in zip(seen["numpy"], seen["python"]):
             np.testing.assert_array_equal(a, b)
-
-    def test_sharded_process_pool_kernel_identity(self):
-        mesh = Mesh(8)
-        rng = np.random.default_rng(19)
-        batches = _random_batches(rng, mesh.n)
-        ref = SteppingCore(mesh, kernels="numpy").run(batches)
-        core = ShardedSteppingCore(
-            mesh, shards=2, processes=True, kernels="python"
-        )
-        try:
-            _assert_results_equal(ref, core.run(batches))
-        finally:
-            core.close()
 
 
 class TestCurveTables:

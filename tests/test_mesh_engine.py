@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.mesh import (
     Mesh,
     PacketBatch,
+    SteppingCore,
     SynchronousEngine,
     Tessellation,
     route_direct,
@@ -121,6 +122,27 @@ class TestEngine:
             SynchronousEngine(mesh).route(
                 PacketBatch(np.array([0]), np.array([15])), max_steps=2
             )
+
+    # (src, dst) endpoints off a 4x4 mesh (nodes 0..15).
+    OFF_MESH = [([0], [-1]), ([3], [16]), ([16], [0]), ([0], [17])]
+
+    @pytest.mark.parametrize("src, dst", OFF_MESH)
+    def test_engine_rejects_off_mesh_endpoints(self, src, dst):
+        engine = SynchronousEngine(Mesh(4))
+        with pytest.raises(ValueError, match="batch 0: .*outside"):
+            engine.route(PacketBatch(np.array(src), np.array(dst)))
+        ok = PacketBatch(np.array([0]), np.array([15]))
+        with pytest.raises(ValueError, match="batch 1: .*outside"):
+            engine.route_many([ok, PacketBatch(np.array(src), np.array(dst))])
+        assert engine.route(ok).steps == 6  # the core stays usable
+
+    @pytest.mark.parametrize("kernels", ["numpy", "python"])
+    @pytest.mark.parametrize("src, dst", OFF_MESH)
+    def test_core_rejects_off_mesh_endpoints(self, src, dst, kernels):
+        core = SteppingCore(Mesh(4), kernels=kernels)
+        batch = (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"outside the mesh's nodes \[0, 16\)"):
+            core.run([batch])
 
     def test_max_queue_counts_in_transit_peak_every_step(self):
         """Regression for the queue-occupancy accounting bug.
